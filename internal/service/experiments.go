@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"popproto/internal/cluster"
@@ -62,10 +63,14 @@ func (s ExperimentSpec) jobPart() JobSpec {
 	}
 }
 
-// key renders the canonical experiment cache key. Call only on
-// canonicalized specs.
+// key renders the canonical experiment cache key: the job key then
+// " r=%d ci=%g min=%d". Call only on canonicalized specs.
 func (s ExperimentSpec) key() string {
-	return fmt.Sprintf("%s r=%d ci=%g min=%d", s.jobPart().key(), s.Replicates, s.CI, s.MinReplicates)
+	b := s.jobPart().appendKey(make([]byte, 0, 128))
+	b = strconv.AppendInt(append(b, " r="...), int64(s.Replicates), 10)
+	b = strconv.AppendFloat(append(b, " ci="...), s.CI, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, " min="...), int64(s.MinReplicates), 10)
+	return string(b)
 }
 
 // Experiment is one managed ensemble: the generic run core plus the
@@ -146,6 +151,10 @@ func (e *Experiment) View() ExperimentView {
 	return v
 }
 
+// Render returns the experiment's view for a response body, or its frozen
+// encoding once the experiment is terminal (runcore.Render).
+func (e *Experiment) Render() (ExperimentView, []byte) { return runcore.Render(e.Run, e.View) }
+
 // Subscribe returns the latest aggregates (nil before any) plus a channel
 // of subsequent aggregate updates; the channel is closed when the
 // experiment finishes. The returned cancel stops delivery without closing
@@ -223,10 +232,11 @@ func (m *Manager) SubmitExperiment(spec ExperimentSpec) (exp *Experiment, cached
 		return nil, false, err
 	}
 	key := canon.key()
-	e, outcome, err := m.exps.Submit(key, runID("e", key), m.decodeExperiment,
+	id := runID("e", key)
+	e, outcome, err := m.exps.Submit(key, id, m.decodeExperiment,
 		func() (*Experiment, error) {
 			e := &Experiment{
-				Run:   runcore.NewRun[ensemble.Aggregates](runID("e", key)),
+				Run:   runcore.NewRun[ensemble.Aggregates](id),
 				spec:  canon,
 				espec: espec,
 			}

@@ -52,15 +52,11 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/protocols", handleProtocols)
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(w, r, "job spec", m.Submit, func(j *Job, cached bool) any {
-			annotateRun(r, j, cached)
-			return submitResponse{Job: j.View(), Cached: cached}
-		})
+		handleSubmit(w, r, "job spec", jobEnvelope, m.Submit, (*Job).Render,
+			func(v JobView, cached bool) any { return submitResponse{Job: v, Cached: cached} })
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		withRun(w, r, "job", m.Get, func(j *Job) {
-			writeJSON(w, http.StatusOK, j.View())
-		})
+		withRun(w, r, "job", m.Get, func(j *Job) { writeView(w, j.Render) })
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "job", m.Get, func(j *Job) {
@@ -71,20 +67,18 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "job", m.Get, func(j *Job) {
 			replay, live, cancel := j.Subscribe()
-			streamSSE(m, w, r, "census", replay, live, cancel, func() any { return j.View() })
+			streamSSE(m, w, r, "census", replay, live, cancel, j.Render)
 		})
 	})
 
 	mux.HandleFunc("POST /v1/experiments", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(w, r, "experiment spec", m.SubmitExperiment, func(e *Experiment, cached bool) any {
-			annotateRun(r, e, cached)
-			return submitExperimentResponse{Experiment: e.View(), Cached: cached}
-		})
+		handleSubmit(w, r, "experiment spec", experimentEnvelope, m.SubmitExperiment, (*Experiment).Render,
+			func(v ExperimentView, cached bool) any {
+				return submitExperimentResponse{Experiment: v, Cached: cached}
+			})
 	})
 	mux.HandleFunc("GET /v1/experiments/{id}", func(w http.ResponseWriter, r *http.Request) {
-		withRun(w, r, "experiment", m.GetExperiment, func(e *Experiment) {
-			writeJSON(w, http.StatusOK, e.View())
-		})
+		withRun(w, r, "experiment", m.GetExperiment, func(e *Experiment) { writeView(w, e.Render) })
 	})
 	mux.HandleFunc("DELETE /v1/experiments/{id}", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "experiment", m.GetExperiment, func(e *Experiment) {
@@ -99,20 +93,16 @@ func NewHandler(m *Manager) http.Handler {
 			if latest != nil {
 				replay = append(replay, *latest)
 			}
-			streamSSE(m, w, r, "aggregate", replay, live, cancel, func() any { return e.View() })
+			streamSSE(m, w, r, "aggregate", replay, live, cancel, e.Render)
 		})
 	})
 
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(w, r, "sweep spec", m.SubmitSweep, func(s *Sweep, cached bool) any {
-			annotateRun(r, s, cached)
-			return submitSweepResponse{Sweep: s.View(), Cached: cached}
-		})
+		handleSubmit(w, r, "sweep spec", sweepEnvelope, m.SubmitSweep, (*Sweep).Render,
+			func(v SweepView, cached bool) any { return submitSweepResponse{Sweep: v, Cached: cached} })
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		withRun(w, r, "sweep", m.GetSweep, func(s *Sweep) {
-			writeJSON(w, http.StatusOK, s.View())
-		})
+		withRun(w, r, "sweep", m.GetSweep, func(s *Sweep) { writeView(w, s.Render) })
 	})
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "sweep", m.GetSweep, func(s *Sweep) {
@@ -123,7 +113,7 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "sweep", m.GetSweep, func(s *Sweep) {
 			replay, live, cancel := s.Subscribe()
-			streamSSE(m, w, r, "cell", replay, live, cancel, func() any { return s.View() })
+			streamSSE(m, w, r, "cell", replay, live, cancel, s.Render)
 		})
 	})
 
@@ -149,6 +139,42 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
+}
+
+// The framing around a terminal run's frozen view bytes (runcore.Render).
+// Each is written as its own Write, so a response is the run's stored
+// bytes with no per-request concatenation — and byte-identical to
+// writeJSON over the same view (or over the kind's submit response).
+var (
+	jobEnvelope        = []byte(`{"job":`)
+	experimentEnvelope = []byte(`{"experiment":`)
+	sweepEnvelope      = []byte(`{"sweep":`)
+	cachedTrailer      = []byte(`,"cached":true}` + "\n")
+	uncachedTrailer    = []byte(`,"cached":false}` + "\n")
+	newline            = []byte("\n")
+)
+
+// writeFrozen answers with prefix, a terminal run's frozen view bytes,
+// and suffix.
+func writeFrozen(w http.ResponseWriter, code int, prefix, body, suffix []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	for _, b := range [...][]byte{prefix, body, suffix} {
+		if _, err := w.Write(b); err != nil {
+			return
+		}
+	}
+}
+
+// writeView answers a GET with a run's view: its frozen bytes once the
+// run is terminal, a fresh encoding while it is live.
+func writeView[V any](w http.ResponseWriter, render func() (V, []byte)) {
+	v, body := render()
+	if body == nil {
+		writeJSON(w, http.StatusOK, v)
+		return
+	}
+	writeFrozen(w, http.StatusOK, nil, body, newline)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -229,9 +255,12 @@ type submitSweepResponse struct {
 // decode the spec (strictly — unknown fields are rejected), submit it
 // through the kind's manager method, map the shared error taxonomy to
 // status codes, and answer 200 for cached work, 202 for fresh or joined
-// work.
-func handleSubmit[Spec, R any](w http.ResponseWriter, r *http.Request, what string,
-	submit func(Spec) (R, bool, error), render func(R, bool) any,
+// work. The body is the kind's submit response, {"<kind>": view,
+// "cached": bool}: for a terminal run, the run's frozen view bytes
+// framed by envelope and the cached trailer; for a live one, wrap's
+// response struct encoded afresh.
+func handleSubmit[Spec, R, V any](w http.ResponseWriter, r *http.Request, what string, envelope []byte,
+	submit func(Spec) (R, bool, error), render func(R) (V, []byte), wrap func(V, bool) any,
 ) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -256,11 +285,17 @@ func handleSubmit[Spec, R any](w http.ResponseWriter, r *http.Request, what stri
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	code := http.StatusAccepted
+	annotateRun(r, run, cached)
+	code, trailer := http.StatusAccepted, uncachedTrailer
 	if cached {
-		code = http.StatusOK
+		code, trailer = http.StatusOK, cachedTrailer
 	}
-	writeJSON(w, code, render(run, cached))
+	v, body := render(run)
+	if body == nil {
+		writeJSON(w, code, wrap(v, cached))
+		return
+	}
+	writeFrozen(w, code, envelope, body, trailer)
 }
 
 // withRun resolves the {id} path value through the kind's getter and
@@ -282,10 +317,12 @@ func withRun[R any](w http.ResponseWriter, r *http.Request, what string,
 // replay the stored events, forward live ones as they are published,
 // and finish with a "done" event carrying the kind's view once the run
 // reaches a terminal state (the run core closes the live channel then —
-// and only then). The subscription's cancel only stops delivery, so
-// returning on a dropped client can never race the publisher.
-func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event string,
-	replay []E, live <-chan E, cancel func(), doneView func() any,
+// and only then, so render returns the run's frozen view bytes, the
+// same bytes GET serves). The subscription's cancel only stops
+// delivery, so returning on a dropped client can never race the
+// publisher.
+func streamSSE[E, V any](m *Manager, w http.ResponseWriter, r *http.Request, event string,
+	replay []E, live <-chan E, cancel func(), render func() (V, []byte),
 ) {
 	defer cancel()
 	m.metrics.sseSubscribers.Inc()
@@ -302,20 +339,20 @@ func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event 
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	emit := func(event string, v any) bool {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
+	emit := func(event string, data []byte) bool {
 		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
 			return false
 		}
 		flusher.Flush()
 		return true
 	}
+	emitJSON := func(e E) bool {
+		data, err := json.Marshal(e)
+		return err == nil && emit(event, data)
+	}
 
 	for _, e := range replay {
-		if !emit(event, e) {
+		if !emitJSON(e) {
 			return
 		}
 	}
@@ -323,10 +360,12 @@ func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event 
 		select {
 		case e, open := <-live:
 			if !open {
-				emit("done", doneView())
+				if _, body := render(); body != nil {
+					emit("done", body)
+				}
 				return
 			}
-			if !emit(event, e) {
+			if !emitJSON(e) {
 				return
 			}
 		case <-r.Context().Done():

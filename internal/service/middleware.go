@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"time"
@@ -65,12 +64,15 @@ func (w flushWriter) Flush() {
 	w.statusWriter.ResponseWriter.(http.Flusher).Flush()
 }
 
+// statusClasses are the class labels of status codes 100–599.
+var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
+
 // statusClass folds a status code into its class label ("2xx"…"5xx").
 func statusClass(code int) string {
 	if code < 100 || code > 599 {
 		return "other"
 	}
-	return fmt.Sprintf("%dxx", code/100)
+	return statusClasses[code/100-1]
 }
 
 // instrumentHTTP wraps the routed mux with the front-door telemetry:

@@ -180,12 +180,13 @@ func (o Outcome) Cached() bool { return o == OutcomeHit || o == OutcomeRestored 
 // Submit is the one submission discipline every kind runs: answer from
 // the finished-work cache (except canceled runs, which are evicted and
 // re-run — cancellation is an operator action, not the spec's
-// deterministic outcome), else coalesce onto an identical in-flight
-// run, else restore from the durable store via decode, else create
-// fresh work. decode reconstructs a finished run from a store record
-// (nil, or returning false, skips restoration); create builds and
-// enqueues a fresh run and may fail with ErrBusy. Both callbacks run
-// under the core's lock and must not re-enter the index.
+// deterministic outcome) or from a finished run not yet filed there,
+// else coalesce onto an identical in-flight run, else restore from the
+// durable store via decode, else create fresh work. decode
+// reconstructs a finished run from a store record (nil, or returning
+// false, skips restoration); create builds and enqueues a fresh run and
+// may fail with ErrBusy. Both callbacks run under the core's lock and
+// must not re-enter the index.
 func (x *Index[R]) Submit(key, id string,
 	decode func(store.Record) (R, bool),
 	create func() (R, error),
@@ -205,9 +206,17 @@ func (x *Index[R]) Submit(key, id string,
 		x.cache.remove(key)
 		delete(x.byID, x.id(r))
 	}
-	if r, ok := x.byID[id]; ok && !r.State().Terminal() {
-		x.joined.Inc()
-		return r, OutcomeJoined, nil
+	if r, ok := x.byID[id]; ok {
+		switch st := r.State(); {
+		case !st.Terminal():
+			x.joined.Inc()
+			return r, OutcomeJoined, nil
+		case st != StateCanceled:
+			// Finished, but its worker has not filed it in the cache yet
+			// (Finish precedes Finished): the result is already final.
+			x.hit.Inc()
+			return r, OutcomeHit, nil
+		}
 	}
 	if r, ok := x.restoreLocked(key, decode); ok {
 		x.restored.Inc()

@@ -1,8 +1,11 @@
 package runcore
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -37,6 +40,10 @@ type Run[E any] struct {
 	restored bool
 
 	created, started, finished time.Time
+
+	// frozen is the encoded terminal view, set by the first Render after
+	// the terminal transition (see Render).
+	frozen atomic.Pointer[[]byte]
 }
 
 // NewRun returns a queued run with a live cancellation context.
@@ -162,10 +169,12 @@ func (r *Run[E]) Begin(onCancel func()) bool {
 // Publish fans e out to the current subscribers without blocking the
 // worker (slow subscribers miss events rather than stalling the run).
 // update, if non-nil, runs under the run's lock first, so kinds can
-// append e to their replay state atomically with the fanout.
+// append e to their replay state atomically with the fanout. On a
+// terminal run update is skipped: a finished run's state is final,
+// which is what lets Render freeze its view.
 func (r *Run[E]) Publish(e E, update func()) {
 	r.mu.Lock()
-	if update != nil {
+	if update != nil && !r.state.Terminal() {
 		update()
 	}
 	fanout := make([]chan E, 0, len(r.subs))
@@ -235,10 +244,45 @@ func (r *Run[E]) finishLocked(state State, errMsg string) {
 	r.state = state
 	r.errMsg = errMsg
 	r.finished = time.Now()
+	// done closes before the subscriptions, so a subscriber that sees
+	// its channel close finds the run terminal in Render too.
+	close(r.done)
 	for ch := range r.subs {
 		close(ch)
 	}
 	r.subs = nil
-	close(r.done)
 	r.cancelFn() // release the context's resources
+}
+
+// Render returns what a response serves for r: view() while r is live
+// (body nil), or, once r is terminal, the encoded view (v zero). A
+// terminal run's view cannot change — Finish stores the final state and
+// Publish no longer updates it — so the first Render after the
+// transition encodes it once (json.Encoder, HTML escaping off, trailing
+// newline stripped: how the service encodes every JSON response) and
+// every later Render returns those same bytes, whichever endpoint asks.
+// Encoding on first read, not at Finish, costs nothing for results
+// nobody reads.
+func Render[E, V any](r *Run[E], view func() V) (v V, body []byte) {
+	if b := r.frozen.Load(); b != nil {
+		return v, *b
+	}
+	select {
+	case <-r.done:
+	default:
+		return view(), nil
+	}
+	v = view()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return v, nil // the kinds' views always encode; serve it unfrozen
+	}
+	var zero V
+	b := bytes.Clone(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+	if !r.frozen.CompareAndSwap(nil, &b) {
+		b = *r.frozen.Load() // a concurrent first render won; serve its bytes
+	}
+	return zero, b
 }

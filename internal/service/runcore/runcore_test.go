@@ -234,3 +234,27 @@ func TestFinishedNeverClobbersLiveRun(t *testing.T) {
 		t.Fatal("terminal run was not replaceable")
 	}
 }
+
+// TestRenderFreezesTerminalView: a live run renders its view afresh on
+// every call; from the terminal transition on, Render serves one
+// encoding, and a late Publish can no longer change the state behind it.
+func TestRenderFreezesTerminalView(t *testing.T) {
+	r := NewRun[int]("r")
+	count := 0
+	view := func() map[string]any { return map[string]any{"state": r.State(), "count": count, "html": "<&>"} }
+	for i := 1; i <= 2; i++ {
+		r.Publish(i, func() { count = i })
+		if v, body := Render(r, view); body != nil || v["count"] != i {
+			t.Fatalf("live render %d = %v, %q; want a fresh view", i, v, body)
+		}
+	}
+	r.Finish(StateDone, "", nil)
+	_, first := Render(r, view)
+	if want := `{"count":2,"html":"<&>","state":"done"}`; string(first) != want {
+		t.Fatalf("frozen body %s, want %s", first, want)
+	}
+	r.Publish(3, func() { count = 3 })
+	if _, again := Render(r, view); &again[0] != &first[0] || count != 2 {
+		t.Fatalf("terminal run re-rendered (%s) or took a late update (count %d)", again, count)
+	}
+}

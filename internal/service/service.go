@@ -28,10 +28,10 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"time"
 
 	"popproto/internal/cluster"
@@ -98,17 +98,38 @@ type JobSpec struct {
 
 // key renders the canonical cache key. Call only on canonicalized specs.
 func (s JobSpec) key() string {
-	return fmt.Sprintf("%s n=%d engine=%s seed=%d m=%d maxpt=%g verify=%d",
-		s.Protocol, s.N, s.Engine, s.Seed, s.M, s.MaxParallelTime, s.Verify)
+	return string(s.appendKey(make([]byte, 0, 96)))
+}
+
+// appendKey appends the canonical cache key to b. Keys are built on
+// every submission, so they use strconv appends rather than fmt; the
+// bytes are those of the format
+// "%s n=%d engine=%s seed=%d m=%d maxpt=%g verify=%d".
+func (s JobSpec) appendKey(b []byte) []byte {
+	b = append(append(b, s.Protocol...), " n="...)
+	b = append(append(strconv.AppendInt(b, int64(s.N), 10), " engine="...), s.Engine...)
+	b = strconv.AppendUint(append(b, " seed="...), s.Seed, 10)
+	b = strconv.AppendInt(append(b, " m="...), int64(s.M), 10)
+	b = strconv.AppendFloat(append(b, " maxpt="...), s.MaxParallelTime, 'g', -1, 64)
+	return strconv.AppendUint(append(b, " verify="...), s.Verify, 10)
 }
 
 // runID derives a public run id from a canonical key, so identical
-// specs map to the same id and re-submissions land on the same run.
-// The prefix distinguishes the kinds ("j", "e", "s").
+// specs map to the same id and re-submissions land on the same run:
+// the prefix, which distinguishes the kinds ("j", "e", "s"), then the
+// key's 64-bit FNV-1a hash as 16 hex digits.
 func runID(prefix, key string) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return fmt.Sprintf("%s%016x", prefix, h.Sum64())
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime64
+	}
+	var buf [32]byte
+	id := append(buf[:0], prefix...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		id = append(id, "0123456789abcdef"[h>>shift&0xf])
+	}
+	return string(id)
 }
 
 // deriveSeed maps a canonical spec (minus the seed) to a deterministic
@@ -275,6 +296,10 @@ func (j *Job) View() JobView {
 	})
 	return v
 }
+
+// Render returns the job's view for a response body, or its frozen
+// encoding once the job is terminal (runcore.Render).
+func (j *Job) Render() (JobView, []byte) { return runcore.Render(j.Run, j.View) }
 
 // Subscribe returns the snapshots recorded so far plus a channel of
 // subsequent ones; the channel is closed when the job finishes. For a
@@ -624,10 +649,11 @@ func (m *Manager) Submit(spec JobSpec) (job *Job, cached bool, err error) {
 		return nil, false, err
 	}
 	key := canon.key()
-	j, outcome, err := m.jobs.Submit(key, runID("j", key), m.decodeJob,
+	id := runID("j", key)
+	j, outcome, err := m.jobs.Submit(key, id, m.decodeJob,
 		func() (*Job, error) {
 			j := &Job{
-				Run:      runcore.NewRun[Snapshot](runID("j", key)),
+				Run:      runcore.NewRun[Snapshot](id),
 				spec:     canon,
 				rspec:    rspec,
 				target:   target,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -56,20 +57,32 @@ type SweepSpec struct {
 	MinReplicates int `json:"minReplicates,omitempty"`
 }
 
-// key renders the canonical sweep cache key. Call only on canonicalized
-// specs.
+// key renders the canonical sweep cache key, the bytes of
+// "sweep %s ns=%s ms=%s engine=%s seed=%d maxpt=%g r=%d ci=%g min=%d"
+// over the comma-joined axes. Call only on canonicalized specs.
 func (s SweepSpec) key() string {
-	ns := make([]string, len(s.Ns))
-	for i, n := range s.Ns {
-		ns[i] = fmt.Sprint(n)
+	b := append(make([]byte, 0, 160), "sweep "...)
+	b = append(b, strings.Join(s.Protocols, ",")...)
+	b = appendInts(append(b, " ns="...), s.Ns)
+	b = appendInts(append(b, " ms="...), s.Ms)
+	b = append(append(b, " engine="...), s.Engine...)
+	b = strconv.AppendUint(append(b, " seed="...), s.Seed, 10)
+	b = strconv.AppendFloat(append(b, " maxpt="...), s.MaxParallelTime, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, " r="...), int64(s.Replicates), 10)
+	b = strconv.AppendFloat(append(b, " ci="...), s.CI, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, " min="...), int64(s.MinReplicates), 10)
+	return string(b)
+}
+
+// appendInts appends xs comma-separated.
+func appendInts(b []byte, xs []int) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	ms := make([]string, len(s.Ms))
-	for i, m := range s.Ms {
-		ms[i] = fmt.Sprint(m)
-	}
-	return fmt.Sprintf("sweep %s ns=%s ms=%s engine=%s seed=%d maxpt=%g r=%d ci=%g min=%d",
-		strings.Join(s.Protocols, ","), strings.Join(ns, ","), strings.Join(ms, ","),
-		s.Engine, s.Seed, s.MaxParallelTime, s.Replicates, s.CI, s.MinReplicates)
+	return b
 }
 
 // SweepCell is the JSON rendering of one grid point's state.
@@ -172,6 +185,10 @@ func (s *Sweep) View() SweepView {
 	})
 	return v
 }
+
+// Render returns the sweep's view for a response body, or its frozen
+// encoding once the sweep is terminal (runcore.Render).
+func (s *Sweep) Render() (SweepView, []byte) { return runcore.Render(s.Run, s.View) }
 
 // Summary returns the scaling summary, or nil while the sweep is not
 // done.
@@ -282,9 +299,10 @@ func (m *Manager) SubmitSweep(spec SweepSpec) (sw *Sweep, cached bool, err error
 		return nil, false, err
 	}
 	key := canon.key()
-	s, outcome, err := m.sweeps.Submit(key, runID("s", key), m.decodeSweep,
+	id := runID("s", key)
+	s, outcome, err := m.sweeps.Submit(key, id, m.decodeSweep,
 		func() (*Sweep, error) {
-			s := newSweep(runcore.NewRun[SweepCell](runID("s", key)), canon, plans)
+			s := newSweep(runcore.NewRun[SweepCell](id), canon, plans)
 			if err := m.sweepClass.Enqueue(func() { m.runSweep(s) }); err != nil {
 				s.Cancel()
 				return nil, err

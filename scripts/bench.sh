@@ -30,6 +30,10 @@
 # benchmarks in internal/store: durable-append throughput (v1
 # fsync-per-record vs v2 group commit, at 1/16/64 writers) and boot
 # replay over a 100k-record corpus (v1 full scan vs v2 footer indexes).
+# And so does the front-door layer benchmark in internal/service: a
+# cached POST /v1/jobs through the HTTP handler in process
+# (BenchmarkHandler_JobCacheHit — spec decode, canonicalization, run
+# index, frozen response bytes).
 #
 # The JSON is an object {date, go, commit, benchtime, benchmarks: [...]},
 # one entry per benchmark line with every reported metric (ns/op, B/op,
@@ -56,6 +60,10 @@ echo "running store append/replay benchmarks..." >&2
 go test -run '^$' -bench '^BenchmarkStore_' -benchmem \
   -benchtime "${STORE_BENCHTIME:-2s}" \
   -timeout 30m ./internal/store | tee -a "$RAW" >&2
+
+echo "running front-door handler benchmarks..." >&2
+go test -run '^$' -bench '^BenchmarkHandler_' -benchmem \
+  -timeout 10m ./internal/service | tee -a "$RAW" >&2
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     -v go_version="$(go version | awk '{print $3}')" \

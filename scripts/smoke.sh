@@ -2,7 +2,8 @@
 # smoke.sh — end-to-end smoke test of the popprotod HTTP service, as run
 # by CI: start the server with a durable result store, submit a PLL
 # election at n=10^5 on the census engine, assert exactly one leader and
-# a cache hit on the identical resubmission, repeat on the phase-adaptive
+# a cache hit on the identical resubmission (the same bytes every time,
+# and the GET body equal to the cached POST's .job), repeat on the phase-adaptive
 # hybrid engine asserting the resolved engine lands in the job record,
 # run a replicated experiment
 # through /v1/experiments, run a scaling sweep (PLL × n∈{1e3,1e4,1e5},
@@ -81,6 +82,15 @@ echo "election stabilized with exactly one leader" >&2
 CACHED=$(curl -fs -X POST -d "$SPEC" "$BASE/v1/jobs" | jq -r '.cached')
 [ "$CACHED" = true ] || { echo "identical resubmission not served from cache" >&2; exit 1; }
 echo "identical resubmission served from cache" >&2
+
+# A finished job's body is frozen: two cached resubmissions answer with
+# identical bytes, and GET serves exactly the POST's .job.
+HIT1=$(curl -fs -X POST -d "$SPEC" "$BASE/v1/jobs")
+HIT2=$(curl -fs -X POST -d "$SPEC" "$BASE/v1/jobs")
+[ "$HIT1" = "$HIT2" ] || { echo "cached resubmissions returned different bodies" >&2; exit 1; }
+GET_BODY=$(curl -fs "$BASE/v1/jobs/$ID")
+[ "{\"job\":$GET_BODY,\"cached\":true}" = "$HIT1" ] || { echo "GET body is not the cached POST's .job" >&2; exit 1; }
+echo "finished job served as identical bytes by POST and GET" >&2
 
 # The SSE trace must replay at least two census snapshots.
 SNAPSHOTS=$(curl -fs -N --max-time 10 "$BASE/v1/jobs/$ID/trace" | grep -c '^event: census' || true)
