@@ -151,9 +151,9 @@ func (e *Experiment) View() ExperimentView {
 	return v
 }
 
-// Render returns the experiment's view for a response body, or its frozen
-// encoding once the experiment is terminal (runcore.Render).
-func (e *Experiment) Render() (ExperimentView, []byte) { return runcore.Render(e.Run, e.View) }
+// Render returns the encoding of the experiment's view that response bodies
+// serve, stored once the experiment is terminal (runcore.Render).
+func (e *Experiment) Render() ([]byte, error) { return runcore.Render(e.Run, e.View) }
 
 // Subscribe returns the latest aggregates (nil before any) plus a channel
 // of subsequent aggregate updates; the channel is closed when the

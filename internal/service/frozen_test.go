@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -274,12 +275,16 @@ func TestFrozenConcurrentFinish(t *testing.T) {
 		stream  string
 		wg      sync.WaitGroup
 	)
+	deadline := time.Now().Add(60 * time.Second)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		body := request(h, "GET", path+"/trace", "").Body.String()
+		ctx, cancel := context.WithDeadline(context.Background(), deadline)
+		defer cancel()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", path+"/trace", nil).WithContext(ctx))
 		mu.Lock()
-		stream = body
+		stream = w.Body.String()
 		mu.Unlock()
 	}()
 	for g := 0; g < 4; g++ {
@@ -287,6 +292,10 @@ func TestFrozenConcurrentFinish(t *testing.T) {
 		go func(post bool) {
 			defer wg.Done()
 			for after := 0; after < 20; {
+				if time.Now().After(deadline) {
+					t.Errorf("job %s not terminal after 60s", sub.Job.ID)
+					return
+				}
 				var w *httptest.ResponseRecorder
 				if post {
 					w = request(h, "POST", "/v1/jobs", spec)
@@ -296,13 +305,22 @@ func TestFrozenConcurrentFinish(t *testing.T) {
 				mu.Lock()
 				replies = append(replies, reply{post, w.Body.String()})
 				mu.Unlock()
-				if strings.Contains(w.Body.String(), `"state":"done"`) {
+				var v struct {
+					State service.State `json:"state"`
+					Job   struct {
+						State service.State `json:"state"`
+					} `json:"job"`
+				}
+				if json.Unmarshal(w.Body.Bytes(), &v) == nil && (v.State.Terminal() || v.Job.State.Terminal()) {
 					after++
 				}
 			}
 		}(g%2 == 0)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 
 	frozen := strings.TrimSuffix(request(h, "GET", path, "").Body.String(), "\n")
 	j, _ := m.Get(sub.Job.ID)

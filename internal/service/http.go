@@ -52,8 +52,7 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/protocols", handleProtocols)
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(w, r, "job spec", jobEnvelope, m.Submit, (*Job).Render,
-			func(v JobView, cached bool) any { return submitResponse{Job: v, Cached: cached} })
+		handleSubmit(w, r, "job spec", jobEnvelope, m.Submit, (*Job).Render)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "job", m.Get, func(j *Job) { writeView(w, j.Render) })
@@ -72,10 +71,7 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/experiments", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(w, r, "experiment spec", experimentEnvelope, m.SubmitExperiment, (*Experiment).Render,
-			func(v ExperimentView, cached bool) any {
-				return submitExperimentResponse{Experiment: v, Cached: cached}
-			})
+		handleSubmit(w, r, "experiment spec", experimentEnvelope, m.SubmitExperiment, (*Experiment).Render)
 	})
 	mux.HandleFunc("GET /v1/experiments/{id}", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "experiment", m.GetExperiment, func(e *Experiment) { writeView(w, e.Render) })
@@ -98,8 +94,7 @@ func NewHandler(m *Manager) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		handleSubmit(w, r, "sweep spec", sweepEnvelope, m.SubmitSweep, (*Sweep).Render,
-			func(v SweepView, cached bool) any { return submitSweepResponse{Sweep: v, Cached: cached} })
+		handleSubmit(w, r, "sweep spec", sweepEnvelope, m.SubmitSweep, (*Sweep).Render)
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		withRun(w, r, "sweep", m.GetSweep, func(s *Sweep) { writeView(w, s.Render) })
@@ -141,10 +136,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
 }
 
-// The framing around a terminal run's frozen view bytes (runcore.Render).
-// Each is written as its own Write, so a response is the run's stored
-// bytes with no per-request concatenation — and byte-identical to
-// writeJSON over the same view (or over the kind's submit response).
+// The framing around a run's rendered view bytes (runcore.Render). Each
+// is written as its own Write, so a response carries the run's view
+// bytes with no per-request concatenation — and is byte-identical to
+// writeJSON over the view, or over {"<kind>": view, "cached": bool}.
 var (
 	jobEnvelope        = []byte(`{"job":`)
 	experimentEnvelope = []byte(`{"experiment":`)
@@ -154,9 +149,9 @@ var (
 	newline            = []byte("\n")
 )
 
-// writeFrozen answers with prefix, a terminal run's frozen view bytes,
-// and suffix.
-func writeFrozen(w http.ResponseWriter, code int, prefix, body, suffix []byte) {
+// writeFramed answers with prefix, a run's rendered view bytes and
+// suffix.
+func writeFramed(w http.ResponseWriter, code int, prefix, body, suffix []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	for _, b := range [...][]byte{prefix, body, suffix} {
@@ -166,15 +161,14 @@ func writeFrozen(w http.ResponseWriter, code int, prefix, body, suffix []byte) {
 	}
 }
 
-// writeView answers a GET with a run's view: its frozen bytes once the
-// run is terminal, a fresh encoding while it is live.
-func writeView[V any](w http.ResponseWriter, render func() (V, []byte)) {
-	v, body := render()
-	if body == nil {
-		writeJSON(w, http.StatusOK, v)
+// writeView answers a GET with a run's rendered view.
+func writeView(w http.ResponseWriter, render func() ([]byte, error)) {
+	body, err := render()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeFrozen(w, http.StatusOK, nil, body, newline)
+	writeFramed(w, http.StatusOK, nil, body, newline)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -232,35 +226,14 @@ func handleProtocols(w http.ResponseWriter, _ *http.Request) {
 	}{docs})
 }
 
-// submitResponse is the POST /v1/jobs body: the job plus whether it was
-// answered from the finished-job cache.
-type submitResponse struct {
-	Job    JobView `json:"job"`
-	Cached bool    `json:"cached"`
-}
-
-// submitExperimentResponse is the POST /v1/experiments body.
-type submitExperimentResponse struct {
-	Experiment ExperimentView `json:"experiment"`
-	Cached     bool           `json:"cached"`
-}
-
-// submitSweepResponse is the POST /v1/sweeps body.
-type submitSweepResponse struct {
-	Sweep  SweepView `json:"sweep"`
-	Cached bool      `json:"cached"`
-}
-
 // handleSubmit is the one submission handler every run kind shares:
 // decode the spec (strictly — unknown fields are rejected), submit it
 // through the kind's manager method, map the shared error taxonomy to
 // status codes, and answer 200 for cached work, 202 for fresh or joined
-// work. The body is the kind's submit response, {"<kind>": view,
-// "cached": bool}: for a terminal run, the run's frozen view bytes
-// framed by envelope and the cached trailer; for a live one, wrap's
-// response struct encoded afresh.
-func handleSubmit[Spec, R, V any](w http.ResponseWriter, r *http.Request, what string, envelope []byte,
-	submit func(Spec) (R, bool, error), render func(R) (V, []byte), wrap func(V, bool) any,
+// work. The body is {"<kind>": view, "cached": bool}: the run's
+// rendered view bytes framed by envelope and the cached trailer.
+func handleSubmit[Spec, R any](w http.ResponseWriter, r *http.Request, what string, envelope []byte,
+	submit func(Spec) (R, bool, error), render func(R) ([]byte, error),
 ) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -290,12 +263,12 @@ func handleSubmit[Spec, R, V any](w http.ResponseWriter, r *http.Request, what s
 	if cached {
 		code, trailer = http.StatusOK, cachedTrailer
 	}
-	v, body := render(run)
-	if body == nil {
-		writeJSON(w, code, wrap(v, cached))
+	body, err := render(run)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeFrozen(w, code, envelope, body, trailer)
+	writeFramed(w, code, envelope, body, trailer)
 }
 
 // withRun resolves the {id} path value through the kind's getter and
@@ -317,12 +290,12 @@ func withRun[R any](w http.ResponseWriter, r *http.Request, what string,
 // replay the stored events, forward live ones as they are published,
 // and finish with a "done" event carrying the kind's view once the run
 // reaches a terminal state (the run core closes the live channel then —
-// and only then, so render returns the run's frozen view bytes, the
-// same bytes GET serves). The subscription's cancel only stops
+// and only then, so render returns the run's stored terminal view
+// bytes, the same bytes GET serves). The subscription's cancel only stops
 // delivery, so returning on a dropped client can never race the
 // publisher.
-func streamSSE[E, V any](m *Manager, w http.ResponseWriter, r *http.Request, event string,
-	replay []E, live <-chan E, cancel func(), render func() (V, []byte),
+func streamSSE[E any](m *Manager, w http.ResponseWriter, r *http.Request, event string,
+	replay []E, live <-chan E, cancel func(), render func() ([]byte, error),
 ) {
 	defer cancel()
 	m.metrics.sseSubscribers.Inc()
@@ -360,7 +333,7 @@ func streamSSE[E, V any](m *Manager, w http.ResponseWriter, r *http.Request, eve
 		select {
 		case e, open := <-live:
 			if !open {
-				if _, body := render(); body != nil {
+				if body, err := render(); err == nil {
 					emit("done", body)
 				}
 				return

@@ -254,35 +254,40 @@ func (r *Run[E]) finishLocked(state State, errMsg string) {
 	r.cancelFn() // release the context's resources
 }
 
-// Render returns what a response serves for r: view() while r is live
-// (body nil), or, once r is terminal, the encoded view (v zero). A
-// terminal run's view cannot change — Finish stores the final state and
-// Publish no longer updates it — so the first Render after the
-// transition encodes it once (json.Encoder, HTML escaping off, trailing
-// newline stripped: how the service encodes every JSON response) and
-// every later Render returns those same bytes, whichever endpoint asks.
+// Render returns the encoding of r's view that every response body
+// serves (json.Encoder, HTML escaping off, trailing newline stripped:
+// how the service encodes every JSON response). A live run's view is
+// encoded afresh on each call. A terminal run's view cannot change —
+// Finish stores the final state and Publish no longer updates it — so
+// the first Render after the transition stores its encoding and every
+// later Render returns those same bytes, whichever endpoint asks.
 // Encoding on first read, not at Finish, costs nothing for results
 // nobody reads.
-func Render[E, V any](r *Run[E], view func() V) (v V, body []byte) {
+func Render[E, V any](r *Run[E], view func() V) ([]byte, error) {
 	if b := r.frozen.Load(); b != nil {
-		return v, *b
+		return *b, nil
 	}
+	// Whether r is terminal is read before view is called, so a view
+	// taken while r was live is never stored.
+	terminal := false
 	select {
 	case <-r.done:
+		terminal = true
 	default:
-		return view(), nil
 	}
-	v = view()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return v, nil // the kinds' views always encode; serve it unfrozen
+	if err := enc.Encode(view()); err != nil {
+		return nil, err
 	}
-	var zero V
-	b := bytes.Clone(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+	b := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+	if !terminal {
+		return b, nil
+	}
+	b = bytes.Clone(b) // drop the buffer's spare capacity before keeping it
 	if !r.frozen.CompareAndSwap(nil, &b) {
 		b = *r.frozen.Load() // a concurrent first render won; serve its bytes
 	}
-	return zero, b
+	return b, nil
 }

@@ -2,6 +2,7 @@ package runcore
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -235,26 +236,74 @@ func TestFinishedNeverClobbersLiveRun(t *testing.T) {
 	}
 }
 
-// TestRenderFreezesTerminalView: a live run renders its view afresh on
-// every call; from the terminal transition on, Render serves one
-// encoding, and a late Publish can no longer change the state behind it.
+// TestSubmitServesFinishedRunBeforeFiling: between a run's Finish and
+// its worker's Finished call, a resubmission of the same key is a hit on
+// that run, not a second run under the same id. A canceled run in the
+// same window is re-run, as a canceled run in the cache is.
+func TestSubmitServesFinishedRunBeforeFiling(t *testing.T) {
+	x := NewIndex(NewCore(nil), "job", 4, func(r *Run[int]) string { return r.ID })
+	created := 0
+	create := func(id string) func() (*Run[int], error) {
+		return func() (*Run[int], error) {
+			created++
+			return NewRun[int](id), nil
+		}
+	}
+	for _, c := range []struct {
+		state   State
+		outcome Outcome
+		sameRun bool
+		creates int
+	}{
+		{StateDone, OutcomeHit, true, 1},
+		{StateFailed, OutcomeHit, true, 1},
+		{StateCanceled, OutcomeNew, false, 2},
+	} {
+		key, id := "key-"+string(c.state), "id-"+string(c.state)
+		created = 0
+		first, _, err := x.Submit(key, id, nil, create(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first.Finish(c.state, "", nil) // not yet filed with x.Finished
+		again, outcome, err := x.Submit(key, id, nil, create(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outcome != c.outcome || (again == first) != c.sameRun || created != c.creates {
+			t.Errorf("%s run resubmitted before filing: outcome %d, same run %v, %d runs created; want %d, %v, %d",
+				c.state, outcome, again == first, created, c.outcome, c.sameRun, c.creates)
+		}
+	}
+}
+
+// TestRenderFreezesTerminalView: a live run's view is encoded afresh on
+// every Render, with one view call; from the terminal transition on,
+// Render serves one stored encoding, and a late Publish can no longer
+// change the state behind it.
 func TestRenderFreezesTerminalView(t *testing.T) {
 	r := NewRun[int]("r")
-	count := 0
-	view := func() map[string]any { return map[string]any{"state": r.State(), "count": count, "html": "<&>"} }
+	r.Begin(nil)
+	count, calls := 0, 0
+	view := func() map[string]any {
+		calls++
+		return map[string]any{"state": r.State(), "count": count, "html": "<&>"}
+	}
 	for i := 1; i <= 2; i++ {
 		r.Publish(i, func() { count = i })
-		if v, body := Render(r, view); body != nil || v["count"] != i {
-			t.Fatalf("live render %d = %v, %q; want a fresh view", i, v, body)
+		body, err := Render(r, view)
+		want := `{"count":` + strconv.Itoa(i) + `,"html":"<&>","state":"running"}`
+		if err != nil || string(body) != want || calls != i {
+			t.Fatalf("live render %d = %s (%v, %d view calls), want %s", i, body, err, calls, want)
 		}
 	}
 	r.Finish(StateDone, "", nil)
-	_, first := Render(r, view)
-	if want := `{"count":2,"html":"<&>","state":"done"}`; string(first) != want {
-		t.Fatalf("frozen body %s, want %s", first, want)
+	first, err := Render(r, view)
+	if want := `{"count":2,"html":"<&>","state":"done"}`; err != nil || string(first) != want {
+		t.Fatalf("frozen body %s (%v), want %s", first, err, want)
 	}
 	r.Publish(3, func() { count = 3 })
-	if _, again := Render(r, view); &again[0] != &first[0] || count != 2 {
-		t.Fatalf("terminal run re-rendered (%s) or took a late update (count %d)", again, count)
+	if again, _ := Render(r, view); &again[0] != &first[0] || count != 2 || calls != 3 {
+		t.Fatalf("terminal run re-rendered (%s, %d view calls) or took a late update (count %d)", again, calls, count)
 	}
 }

@@ -297,9 +297,9 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// Render returns the job's view for a response body, or its frozen
-// encoding once the job is terminal (runcore.Render).
-func (j *Job) Render() (JobView, []byte) { return runcore.Render(j.Run, j.View) }
+// Render returns the encoding of the job's view that response bodies
+// serve, stored once the job is terminal (runcore.Render).
+func (j *Job) Render() ([]byte, error) { return runcore.Render(j.Run, j.View) }
 
 // Subscribe returns the snapshots recorded so far plus a channel of
 // subsequent ones; the channel is closed when the job finishes. For a

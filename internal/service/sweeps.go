@@ -186,9 +186,9 @@ func (s *Sweep) View() SweepView {
 	return v
 }
 
-// Render returns the sweep's view for a response body, or its frozen
-// encoding once the sweep is terminal (runcore.Render).
-func (s *Sweep) Render() (SweepView, []byte) { return runcore.Render(s.Run, s.View) }
+// Render returns the encoding of the sweep's view that response bodies
+// serve, stored once the sweep is terminal (runcore.Render).
+func (s *Sweep) Render() ([]byte, error) { return runcore.Render(s.Run, s.View) }
 
 // Summary returns the scaling summary, or nil while the sweep is not
 // done.
