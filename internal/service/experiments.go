@@ -110,6 +110,8 @@ type ExperimentView struct {
 	Started    *time.Time `json:"started,omitempty"`
 	Finished   *time.Time `json:"finished,omitempty"`
 	WallMillis int64      `json:"wallMillis,omitempty"`
+	// Durable is false when the aggregates failed to persist.
+	Durable *bool `json:"durable,omitempty"`
 }
 
 // Aggregates returns the latest aggregates, or nil before the first
@@ -139,6 +141,7 @@ func (e *Experiment) View() ExperimentView {
 		BudgetSteps: e.espec.Budget,
 		Error:       meta.Err,
 		Restored:    meta.Restored,
+		Durable:     meta.Durable,
 		Created:     meta.Created,
 		Started:     meta.Started,
 		Finished:    meta.Finished,
@@ -201,6 +204,8 @@ func (m *Manager) CanonicalizeExperiment(spec ExperimentSpec) (ExperimentSpec, e
 	}
 	spec.Engine = canonJob.Engine
 	spec.Seed = canonJob.Seed
+	spec.MaxParallelTime = canonJob.MaxParallelTime
+	spec.CI = positiveZero(spec.CI)
 	if spec.CI > 0 && spec.MinReplicates == 0 {
 		spec.MinReplicates = ensemble.DefaultMinReplicates
 	}
@@ -291,32 +296,35 @@ func (m *Manager) runExperiment(e *Experiment) {
 	key := e.spec.key()
 	if !e.Begin(nil) {
 		m.metrics.recordRunState(store.KindExperiment, StateCanceled)
-		m.exps.Finished(key, e)
+		m.exps.Complete(key, e, StateCanceled, "", nil, nil, nil)
 		return
 	}
 	start := time.Now()
 	agg, dist, err := m.runEnsemble(e.Context(), e.espec, e.update)
-	wallDur := time.Since(start)
-	wall := wallDur.Milliseconds()
+	wall := time.Since(start)
+	state, errMsg := terminalState(err)
+	m.metrics.recordRunState(store.KindExperiment, state)
+	if state == StateDone {
+		m.metrics.recordEngineRun(e.spec.Engine, ensembleInteractions(agg), wall)
+	}
+	m.exps.Complete(key, e, state, errMsg, func() {
+		e.wallMillis = wall.Milliseconds()
+		if state == StateDone {
+			e.agg, e.dist = &agg, dist
+		}
+	}, e.spec, agg)
+}
+
+// terminalState maps the error a run's work ended with to the run's
+// terminal state and error message.
+func terminalState(err error) (State, string) {
 	switch {
 	case err == nil:
-		e.Finish(StateDone, "", func() {
-			e.agg = &agg
-			e.dist = dist
-			e.wallMillis = wall
-		})
-		m.metrics.recordRunState(store.KindExperiment, StateDone)
-		m.metrics.recordEngineRun(e.spec.Engine, ensembleInteractions(agg), wallDur)
-		m.exps.Finished(key, e)
-		m.core.Persist(store.KindExperiment, key, e.ID, e.spec, agg)
+		return StateDone, ""
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		e.Finish(StateCanceled, "canceled", func() { e.wallMillis = wall })
-		m.metrics.recordRunState(store.KindExperiment, StateCanceled)
-		m.exps.Finished(key, e)
+		return StateCanceled, "canceled"
 	default:
-		e.Finish(StateFailed, err.Error(), func() { e.wallMillis = wall })
-		m.metrics.recordRunState(store.KindExperiment, StateFailed)
-		m.exps.Finished(key, e)
+		return StateFailed, err.Error()
 	}
 }
 
@@ -329,23 +337,4 @@ func ensembleInteractions(agg ensemble.Aggregates) uint64 {
 		return 0
 	}
 	return uint64(total)
-}
-
-// finishedExperiment constructs an already-done experiment around
-// externally computed aggregates — how a sweep cell publishes its
-// result into the experiment cache, so a later POST /v1/experiments of
-// the same spec is a cache hit.
-func finishedExperiment(id string, spec ExperimentSpec, espec ensemble.Spec, agg ensemble.Aggregates, dist *cluster.Distribution, wallMillis int64) *Experiment {
-	e := &Experiment{
-		Run:   runcore.NewRun[ensemble.Aggregates](id),
-		spec:  spec,
-		espec: espec,
-	}
-	cp := agg
-	e.Finish(StateDone, "", func() {
-		e.agg = &cp
-		e.dist = dist
-		e.wallMillis = wallMillis
-	})
-	return e
 }

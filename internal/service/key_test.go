@@ -1,10 +1,15 @@
 package service
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
+
+	"popproto/internal/registry"
 )
 
 // The canonical keys and run ids name cached and stored results, so
@@ -66,4 +71,82 @@ func FuzzCanonicalKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSubmitSpec runs what a POST to /v1/jobs, /v1/experiments and
+// /v1/sweeps runs before submission — strict JSON decode, canonicalize,
+// key — over two bodies, each decoded as every kind. Properties: nothing
+// panics; a spec that fails to canonicalize yields a bad-spec error
+// (answered 400) and no canonical spec to key; and two specs that
+// canonicalize get equal keys exactly when their canonical specs are
+// equal.
+func FuzzSubmitSpec(f *testing.F) {
+	for _, body := range []string{
+		`{"protocol": "pll", "n": 100000, "engine": "count", "seed": 42}`,
+		`{"protocol": "pll", "n": 20000, "engine": "count", "seed": 42, "replicates": 6}`,
+		`{"protocols": ["pll"], "ns": [500, 1000, 2000], "engine": "count", "replicates": 3}`,
+		`{"protocol": "pll", "n": 2000, "engine": "auto", "seed": 7}`,
+		`{"protocol": "pll", "n": 100, "flux": 1}`,
+		`{"protocol": "paxos", "n": 100}`,
+		`{"protocol": "pll", "n": 1}`,
+		`{"protocol": "pll", "n": 100, "engine": "gpu"}`,
+		`{"protocol": "angluin", "n": 100, "m": 8}`,
+		`{"protocol": "pll", "n": 900, "m": 2}`,
+		`{"protocol": "pll", "n": 100, "maxParallelTime": -3}`,
+		`{"protocol": "pll", "n": 100, "replicates": 4, "ci": 2}`,
+		`{"ns": [100], "replicates": 2}`,
+		`{"protocols": ["pll"], "ns": [100], "replicates": 2, "ci": 2}`,
+	} {
+		f.Add(body, `{"protocol": "pll", "n": 100000, "engine": "count", "seed": 42, "replicates": 1}`)
+	}
+	f.Add(`{"protocol": "pll", "n": 1000, "maxParallelTime": 0}`, `{"protocol": "pll", "n": 1000, "maxParallelTime": -0}`)
+	f.Add(`{"protocols": ["pll"], "ns": [1000], "replicates": 2, "ci": 0}`,
+		`{"protocols": ["pll", "pll"], "ns": [1000, 1000], "ms": [0], "replicates": 2, "ci": -0}`)
+	m := NewManager(Options{Workers: 1})
+	f.Cleanup(m.Close)
+	f.Fuzz(func(t *testing.T, a, b string) {
+		checkSpecKeys(t, a, b, func(s JobSpec) (JobSpec, error) {
+			c, _, _, _, err := m.Canonicalize(s)
+			return c, err
+		}, JobSpec.key)
+		checkSpecKeys(t, a, b, func(s ExperimentSpec) (ExperimentSpec, error) {
+			c, _, err := m.CanonicalizeExperiment(s)
+			return c, err
+		}, ExperimentSpec.key)
+		checkSpecKeys(t, a, b, func(s SweepSpec) (SweepSpec, error) {
+			c, _, err := m.CanonicalizeSweep(s)
+			return c, err
+		}, SweepSpec.key)
+	})
+}
+
+// checkSpecKeys decodes bodies a and b as S the way handleSubmit does
+// and checks FuzzSubmitSpec's properties on those that decode.
+func checkSpecKeys[S any](t *testing.T, a, b string, canonicalize func(S) (S, error), key func(S) string) {
+	var canon []S
+	for _, body := range []string{a, b} {
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		var spec S
+		if dec.Decode(&spec) != nil {
+			continue
+		}
+		c, err := canonicalize(spec)
+		if err != nil {
+			if !errors.Is(err, registry.ErrBadSpec) {
+				t.Fatalf("%T %s: error %v does not wrap registry.ErrBadSpec", spec, body, err)
+			}
+			if !reflect.ValueOf(c).IsZero() {
+				t.Fatalf("%T %s: error %v came with canonical spec %+v", spec, body, err, c)
+			}
+			continue
+		}
+		canon = append(canon, c)
+	}
+	if len(canon) == 2 {
+		ka, kb := key(canon[0]), key(canon[1])
+		if (ka == kb) != reflect.DeepEqual(canon[0], canon[1]) {
+			t.Fatalf("canonical specs %+v and %+v: keys %q and %q", canon[0], canon[1], ka, kb)
+		}
+	}
 }

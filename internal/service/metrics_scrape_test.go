@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -156,5 +157,59 @@ func TestMetricsScrape(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("full scrape:\n%s", body)
+	}
+}
+
+// TestFailedPersistRendersNotDurable: a job whose result the store
+// refuses (the store is closed before the job finishes) is still done
+// and cached, its view says "durable": false, and the failure is counted
+// once in popprotod_runcore_persist_errors_total.
+func TestFailedPersistRendersNotDurable(t *testing.T) {
+	reg := obs.NewRegistry()
+	st, err := store.Open(filepath.Join(t.TempDir(), "results.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := service.NewManager(service.Options{Workers: 1, Store: st, Metrics: reg})
+	t.Cleanup(m.Close)
+	h := service.NewHandler(m)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	spec := `{"protocol": "pll", "n": 200, "seed": 7}`
+	var sub submitResp
+	do(t, h, "POST", "/v1/jobs", spec, http.StatusAccepted, &sub)
+	deadline := time.Now().Add(60 * time.Second)
+	var body string
+	for {
+		w := request(h, "GET", "/v1/jobs/"+sub.Job.ID, "")
+		var view service.JobView
+		if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil {
+			t.Fatalf("GET job: %v (body %s)", err, w.Body)
+		}
+		if view.State.Terminal() {
+			if view.State != service.StateDone {
+				t.Fatalf("job ended %s, want done: %s", view.State, w.Body)
+			}
+			body = w.Body.String()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job did not complete: %s", w.Body)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !strings.Contains(body, `"durable":false`) {
+		t.Errorf("done view of an unpersisted job lacks \"durable\":false: %s", body)
+	}
+
+	do(t, h, "POST", "/v1/jobs", spec, http.StatusOK, &sub)
+	if !sub.Cached || sub.Job.Durable == nil || *sub.Job.Durable {
+		t.Errorf("resubmission: cached=%v durable=%v, want a cache hit with durable false", sub.Cached, sub.Job.Durable)
+	}
+	scrape := request(h, "GET", "/metrics", "").Body.String()
+	if want := "popprotod_runcore_persist_errors_total 1\n"; !strings.Contains(scrape, want) {
+		t.Errorf("scrape missing %q", want)
 	}
 }

@@ -1,6 +1,7 @@
 package runcore
 
 import (
+	"log/slog"
 	"sync"
 
 	"popproto/internal/obs"
@@ -100,16 +101,19 @@ func (c *Core) Counters() Counters {
 	return s
 }
 
-// Persist appends a finished result to the durable store (best-effort:
-// a persistence failure is counted, not fatal — the in-memory result
-// still serves).
-func (c *Core) Persist(kind store.Kind, key, id string, spec, data any) {
+// Persist appends a finished result to the durable store and returns
+// once it is durable. A failure is counted and returned; it is not
+// fatal — the in-memory result still serves, and Complete marks the run
+// not durable.
+func (c *Core) Persist(kind store.Kind, key, id string, spec, data any) error {
 	if c.Store == nil {
-		return
+		return nil
 	}
-	if err := c.Store.Put(kind, key, id, spec, data); err != nil {
+	err := c.Store.Put(kind, key, id, spec, data)
+	if err != nil {
 		c.persistErrs.Inc()
 	}
+	return err
 }
 
 // Lifecycle is the surface Index needs from a kind's run type; every
@@ -117,6 +121,9 @@ func (c *Core) Persist(kind store.Kind, key, id string, spec, data any) {
 type Lifecycle interface {
 	State() State
 	Cancel()
+	Finish(state State, errMsg string, update func())
+	// markNotDurableLocked flags a failed persist, under the run's lock.
+	markNotDurableLocked()
 }
 
 // Index is one run kind's finished-work cache and in-flight index on a
@@ -180,13 +187,14 @@ func (o Outcome) Cached() bool { return o == OutcomeHit || o == OutcomeRestored 
 // Submit is the one submission discipline every kind runs: answer from
 // the finished-work cache (except canceled runs, which are evicted and
 // re-run — cancellation is an operator action, not the spec's
-// deterministic outcome) or from a finished run not yet filed there,
-// else coalesce onto an identical in-flight run, else restore from the
-// durable store via decode, else create fresh work. decode
-// reconstructs a finished run from a store record (nil, or returning
-// false, skips restoration); create builds and enqueues a fresh run and
-// may fail with ErrBusy. Both callbacks run under the core's lock and
-// must not re-enter the index.
+// deterministic outcome), else coalesce onto an identical in-flight
+// run, else restore from the durable store via decode, else create
+// fresh work. decode reconstructs a finished run from a store record
+// (nil, or returning false, skips restoration); create builds and
+// enqueues a fresh run and may fail with ErrBusy. Both callbacks run
+// under the core's lock and must not re-enter the index.
+// A terminal run outside the cache is one Begin canceled before
+// Complete filed it, and is re-run too.
 func (x *Index[R]) Submit(key, id string,
 	decode func(store.Record) (R, bool),
 	create func() (R, error),
@@ -206,17 +214,9 @@ func (x *Index[R]) Submit(key, id string,
 		x.cache.remove(key)
 		delete(x.byID, x.id(r))
 	}
-	if r, ok := x.byID[id]; ok {
-		switch st := r.State(); {
-		case !st.Terminal():
-			x.joined.Inc()
-			return r, OutcomeJoined, nil
-		case st != StateCanceled:
-			// Finished, but its worker has not filed it in the cache yet
-			// (Finish precedes Finished): the result is already final.
-			x.hit.Inc()
-			return r, OutcomeHit, nil
-		}
+	if r, ok := x.byID[id]; ok && !r.State().Terminal() {
+		x.joined.Inc()
+		return r, OutcomeJoined, nil
 	}
 	if r, ok := x.restoreLocked(key, decode); ok {
 		x.restored.Inc()
@@ -283,21 +283,38 @@ func (x *Index[R]) Lookup(key string) (R, bool) {
 	return x.cache.get(key)
 }
 
-// Finished files a terminal run under its canonical key (evicting the
-// oldest entries, and with them their id index) and ensures the id
-// index knows it — runs created by Submit already do; synthetic runs
-// (sweep cells shared into the experiment cache) are indexed here. If a
-// *live* (non-terminal) run already holds the id — an identical
-// in-flight run raced this one to the same result — neither index is
-// touched: the live run must stay addressable (cancellation included)
-// and will file itself when it finishes.
-func (x *Index[R]) Finished(key string, r R) {
+// Complete is the one terminal transition of every run kind, and what
+// makes done mean durable and indexed. A done run's (spec, data) is
+// persisted first, outside the core's lock so submissions never wait
+// behind an fsync; a failure is logged with the run's id and marks the
+// run not durable. Then, under the core's lock, r is finished (state,
+// errMsg and update as in Run.Finish; r may already be terminal, as
+// when Begin found it canceled) and filed in the id index and the LRU —
+// unless a live run holds its id: an identical in-flight run must stay
+// addressable and files itself when it completes. update runs under
+// both locks and must not re-enter the index.
+func (x *Index[R]) Complete(key string, r R, state State, errMsg string, update func(), spec, data any) {
+	id := x.id(r)
+	var persistErr error
+	if state == StateDone && data != nil {
+		if persistErr = x.core.Persist(x.kind, key, id, spec, data); persistErr != nil {
+			slog.Error("persisting finished result", "run", id, "kind", string(x.kind), "err", persistErr)
+		}
+	}
 	x.core.mu.Lock()
 	defer x.core.mu.Unlock()
-	if cur, ok := x.byID[x.id(r)]; ok && !cur.State().Terminal() {
+	r.Finish(state, errMsg, func() {
+		if persistErr != nil {
+			r.markNotDurableLocked()
+		}
+		if update != nil {
+			update()
+		}
+	})
+	if cur, ok := x.byID[id]; ok && !cur.State().Terminal() {
 		return
 	}
-	x.byID[x.id(r)] = r
+	x.byID[id] = r
 	x.cache.put(key, r)
 }
 

@@ -38,6 +38,8 @@ type Run[E any] struct {
 	subs     map[chan E]struct{}
 	done     chan struct{}
 	restored bool
+	// notDurable marks a failed persist (see Index.Complete).
+	notDurable bool
 
 	created, started, finished time.Time
 
@@ -109,6 +111,9 @@ type Meta struct {
 	State    State
 	Err      string
 	Restored bool
+	// Durable is nil unless the run's result failed to persist, when it
+	// points to false: views render "durable": false only then.
+	Durable  *bool
 	Created  time.Time
 	Started  *time.Time
 	Finished *time.Time
@@ -123,6 +128,9 @@ func (r *Run[E]) Meta() Meta {
 		Err:      r.errMsg,
 		Restored: r.restored,
 		Created:  r.created,
+	}
+	if r.notDurable {
+		m.Durable = new(bool)
 	}
 	if !r.started.IsZero() {
 		t := r.started
@@ -235,6 +243,8 @@ func (r *Run[E]) Finish(state State, errMsg string, update func()) {
 	}
 	r.finishLocked(state, errMsg)
 }
+
+func (r *Run[E]) markNotDurableLocked() { r.notDurable = true }
 
 // finishLocked is the terminal transition. Callers hold r.mu.
 func (r *Run[E]) finishLocked(state State, errMsg string) {

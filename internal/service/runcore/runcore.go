@@ -11,11 +11,13 @@
 //     round-robin fairness between kinds under mixed load), and
 //   - the finished-work cache (an LRU per kind in front of the optional
 //     durable store, with canonical-key dedup, in-flight coalescing, and
-//     restore-on-miss across restarts).
+//     restore-on-miss across restarts), whose one completion transition,
+//     Index.Complete, makes "done" imply durable and indexed.
 //
 // A run kind (service.Job, service.Experiment, service.Sweep) embeds a
 // *Run[E] for lifecycle and fanout, registers a Class on the shared
-// Scheduler, and drives submissions through an Index[R]. Everything a
+// Scheduler, drives submissions through an Index[R], and ends every run
+// with Index.Complete. Everything a
 // kind adds on top — its spec, its result payload, its replay policy —
 // stays in the kind; everything two kinds would otherwise both
 // implement lives here.

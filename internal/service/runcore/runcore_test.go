@@ -2,10 +2,13 @@ package runcore
 
 import (
 	"errors"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"popproto/internal/store"
 )
 
 // TestSchedulerRoundRobinFairness pins the dispatch order: with one
@@ -203,11 +206,11 @@ func TestRunBeginAfterCancel(t *testing.T) {
 
 func id(t *testing.T) string { return t.Name() }
 
-// TestFinishedNeverClobbersLiveRun: filing a synthetic finished run (a
+// TestCompleteNeverClobbersLiveRun: completing a synthetic run (a
 // sweep cell sharing its result into the experiment index) must not
 // displace an identical *in-flight* run from the id index — the live
 // run has to stay addressable so its cancellation keeps working.
-func TestFinishedNeverClobbersLiveRun(t *testing.T) {
+func TestCompleteNeverClobbersLiveRun(t *testing.T) {
 	x := NewIndex(NewCore(nil), "job", 4, func(r *Run[int]) string { return r.ID })
 
 	live, _, err := x.Submit("key-1", "id-1", nil, func() (*Run[int], error) {
@@ -221,26 +224,26 @@ func TestFinishedNeverClobbersLiveRun(t *testing.T) {
 	}
 
 	synthetic := NewRun[int]("id-1")
-	synthetic.Finish(StateDone, "", nil)
-	x.Finished("key-1", synthetic)
+	x.Complete("key-1", synthetic, StateDone, "", nil, nil, nil)
 
 	got, ok := x.Get("id-1", nil)
 	if !ok || got != live {
 		t.Fatal("synthetic finished run displaced the live run from the id index")
 	}
-	// Once the live run is terminal, filing is allowed again (last wins).
+	// Once the live run is terminal, filing is allowed again (last wins),
+	// and Complete tolerates a run that is already terminal.
 	live.Finish(StateDone, "", nil)
-	x.Finished("key-1", synthetic)
+	x.Complete("key-1", synthetic, StateDone, "", nil, nil, nil)
 	if got, _ := x.Get("id-1", nil); got != synthetic {
 		t.Fatal("terminal run was not replaceable")
 	}
 }
 
-// TestSubmitServesFinishedRunBeforeFiling: between a run's Finish and
-// its worker's Finished call, a resubmission of the same key is a hit on
-// that run, not a second run under the same id. A canceled run in the
-// same window is re-run, as a canceled run in the cache is.
-func TestSubmitServesFinishedRunBeforeFiling(t *testing.T) {
+// TestSubmitAfterComplete: a resubmission of a completed done or failed
+// run is a hit on that run; a canceled one is re-run, whether Complete
+// has filed it or Begin has only just finished it as canceled while
+// queued — and completing that stale run then leaves the re-run alone.
+func TestSubmitAfterComplete(t *testing.T) {
 	x := NewIndex(NewCore(nil), "job", 4, func(r *Run[int]) string { return r.ID })
 	created := 0
 	create := func(id string) func() (*Run[int], error) {
@@ -250,29 +253,84 @@ func TestSubmitServesFinishedRunBeforeFiling(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
+		name    string
 		state   State
+		filed   bool
 		outcome Outcome
 		sameRun bool
 		creates int
 	}{
-		{StateDone, OutcomeHit, true, 1},
-		{StateFailed, OutcomeHit, true, 1},
-		{StateCanceled, OutcomeNew, false, 2},
+		{"done", StateDone, true, OutcomeHit, true, 1},
+		{"failed", StateFailed, true, OutcomeHit, true, 1},
+		{"canceled", StateCanceled, true, OutcomeNew, false, 2},
+		{"canceled-queued", StateCanceled, false, OutcomeNew, false, 2},
 	} {
-		key, id := "key-"+string(c.state), "id-"+string(c.state)
+		key, id := "key-"+c.name, "id-"+c.name
 		created = 0
 		first, _, err := x.Submit(key, id, nil, create(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		first.Finish(c.state, "", nil) // not yet filed with x.Finished
+		if c.filed {
+			x.Complete(key, first, c.state, "", nil, nil, nil)
+		} else {
+			first.Cancel()
+			first.Begin(nil) // canceled while queued; Complete not yet called
+		}
 		again, outcome, err := x.Submit(key, id, nil, create(id))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if outcome != c.outcome || (again == first) != c.sameRun || created != c.creates {
-			t.Errorf("%s run resubmitted before filing: outcome %d, same run %v, %d runs created; want %d, %v, %d",
-				c.state, outcome, again == first, created, c.outcome, c.sameRun, c.creates)
+			t.Errorf("%s run resubmitted: outcome %d, same run %v, %d runs created; want %d, %v, %d",
+				c.name, outcome, again == first, created, c.outcome, c.sameRun, c.creates)
+		}
+		if !c.filed {
+			x.Complete(key, first, StateCanceled, "", nil, nil, nil)
+			if got, _ := x.Get(id, nil); got != again {
+				t.Errorf("%s: completing the stale canceled run displaced its live re-run", c.name)
+			}
+		}
+	}
+}
+
+// TestDoneImpliesIndexedAndDurable pins the completion invariant: at
+// the instant a run's Done channel closes, Lookup finds it in the
+// finished-work cache and its record is already in the durable store.
+func TestDoneImpliesIndexedAndDurable(t *testing.T) {
+	st, err := store.Open(filepath.Join(t.TempDir(), "results.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	x := NewIndex(NewCore(st), store.KindJob, 64, func(r *Run[int]) string { return r.ID })
+	for i := 0; i < 20; i++ {
+		key, id := "key-"+strconv.Itoa(i), "id-"+strconv.Itoa(i)
+		r, _, err := x.Submit(key, id, nil, func() (*Run[int], error) { return NewRun[int](id), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		observed := make(chan string, 1)
+		go func() {
+			<-r.Done()
+			_, cached := x.Lookup(key)
+			_, stored := st.GetByID(id)
+			switch {
+			case !cached:
+				observed <- "not cached"
+			case !stored:
+				observed <- "not stored"
+			default:
+				observed <- ""
+			}
+		}()
+		r.Begin(nil)
+		x.Complete(key, r, StateDone, "", nil, i, i)
+		if miss := <-observed; miss != "" {
+			t.Fatalf("run %s observed done but %s", id, miss)
+		}
+		if m := r.Meta(); m.Durable != nil {
+			t.Fatalf("run %s acknowledged by the store rendered durable=%v", id, *m.Durable)
 		}
 	}
 }

@@ -141,6 +141,15 @@ func deriveSeed(s JobSpec) uint64 {
 	return ensemble.DeriveSeed(s.Protocol, s.N, s.Engine, s.M)
 }
 
+// positiveZero maps -0 (JSON decodes "-0" so, and a key renders it so)
+// to 0, so that equal canonical specs get equal keys.
+func positiveZero(x float64) float64 {
+	if x == 0 {
+		return 0
+	}
+	return x
+}
+
 // censusCap bounds the number of distinct states reported per census in
 // results and snapshots; protocols like MaxID have Θ(n) live states and
 // would otherwise dominate every payload.
@@ -267,6 +276,8 @@ type JobView struct {
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
+	// Durable is false when the job's result failed to persist.
+	Durable *bool `json:"durable,omitempty"`
 }
 
 // Result returns the job's result, or nil while it is not done.
@@ -286,6 +297,7 @@ func (j *Job) View() JobView {
 		BudgetSteps: j.budget,
 		Error:       meta.Err,
 		Restored:    meta.Restored,
+		Durable:     meta.Durable,
 		Created:     meta.Created,
 		Started:     meta.Started,
 		Finished:    meta.Finished,
@@ -598,6 +610,7 @@ func (m *Manager) Canonicalize(spec JobSpec) (JobSpec, registry.Spec, int, uint6
 		return JobSpec{}, registry.Spec{}, 0, 0, fmt.Errorf(
 			"%w: negative maxParallelTime %g", registry.ErrBadSpec, spec.MaxParallelTime)
 	}
+	spec.MaxParallelTime = positiveZero(spec.MaxParallelTime)
 	if spec.Seed == 0 {
 		spec.Seed = deriveSeed(spec)
 	}
@@ -777,9 +790,10 @@ func (m *Manager) Health() Health {
 
 // runJob executes one job to a terminal state and indexes the outcome.
 func (m *Manager) runJob(j *Job) {
+	key := j.spec.key()
 	if !j.Begin(nil) {
 		m.metrics.recordRunState(store.KindJob, StateCanceled)
-		m.jobs.Finished(j.spec.key(), j)
+		m.jobs.Complete(key, j, StateCanceled, "", nil, nil, nil)
 		return
 	}
 	start := time.Now()
@@ -788,9 +802,8 @@ func (m *Manager) runJob(j *Job) {
 		// The spec was validated at submission; a failure here is an
 		// internal inconsistency, reported on the job rather than killing
 		// the worker.
-		j.Finish(StateFailed, err.Error(), nil)
 		m.metrics.recordRunState(store.KindJob, StateFailed)
-		m.jobs.Finished(j.spec.key(), j)
+		m.jobs.Complete(key, j, StateFailed, err.Error(), nil, nil, nil)
 		return
 	}
 
@@ -804,10 +817,9 @@ func (m *Manager) runJob(j *Job) {
 	canceled := ensemble.Drive(j.Context(), el, j.target, j.budget, j.maxSnaps,
 		func() { j.record(el) })
 	if canceled {
-		j.Finish(StateCanceled, "canceled", nil)
 		m.metrics.recordRunState(store.KindJob, StateCanceled)
 		m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))
-		m.jobs.Finished(j.spec.key(), j)
+		m.jobs.Complete(key, j, StateCanceled, "canceled", nil, nil, nil)
 		return
 	}
 	if last := el.Steps(); j.snapshotCount() == 1 || j.lastSnapshotStep() != last {
@@ -845,9 +857,7 @@ func (m *Manager) runJob(j *Job) {
 	res.Census, res.OmittedStates, res.OmittedAgents = topCensus(el.Census(), censusCap)
 	res.WallMillis = time.Since(start).Milliseconds()
 	res.Distribution = cluster.LocalDistribution()
-	j.Finish(StateDone, "", func() { j.result = res })
 	m.metrics.recordRunState(store.KindJob, StateDone)
 	m.metrics.recordEngineRun(j.spec.Engine, el.Steps(), time.Since(start))
-	m.jobs.Finished(j.spec.key(), j)
-	m.core.Persist(store.KindJob, j.spec.key(), j.ID, j.spec, res)
+	m.jobs.Complete(key, j, StateDone, "", func() { j.result = res }, j.spec, res)
 }

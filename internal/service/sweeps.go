@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -163,6 +162,8 @@ type SweepView struct {
 	Started    *time.Time     `json:"started,omitempty"`
 	Finished   *time.Time     `json:"finished,omitempty"`
 	WallMillis int64          `json:"wallMillis,omitempty"`
+	// Durable is false when the sweep's record failed to persist.
+	Durable *bool `json:"durable,omitempty"`
 }
 
 // View renders the sweep for JSON responses.
@@ -174,6 +175,7 @@ func (s *Sweep) View() SweepView {
 		Spec:     s.spec,
 		Error:    meta.Err,
 		Restored: meta.Restored,
+		Durable:  meta.Durable,
 		Created:  meta.Created,
 		Started:  meta.Started,
 		Finished: meta.Finished,
@@ -255,6 +257,8 @@ func (m *Manager) CanonicalizeSweep(spec SweepSpec) (SweepSpec, []sweepCellPlan,
 	spec.Protocols = canon.Protocols
 	spec.Ns = canon.Ns
 	spec.Ms = canon.Ms
+	spec.MaxParallelTime = positiveZero(spec.MaxParallelTime)
+	spec.CI = positiveZero(spec.CI)
 
 	// Re-canonicalize every cell as the standalone experiment it is
 	// equivalent to: that applies the per-engine population limits and
@@ -386,7 +390,7 @@ func (m *Manager) runSweep(s *Sweep) {
 		}
 	}) {
 		m.metrics.recordRunState(store.KindSweep, StateCanceled)
-		m.sweeps.Finished(key, s)
+		m.sweeps.Complete(key, s, StateCanceled, "", nil, nil, nil)
 		return
 	}
 	start := time.Now()
@@ -404,47 +408,29 @@ func (m *Manager) runSweep(s *Sweep) {
 				v.Aggregates = &partial
 				s.updateCell(v)
 			})
-			switch {
-			case err == nil:
-				view.State = StateDone
+			view.State, _ = terminalState(err)
+			if err == nil {
 				view.Source = source
 				view.Aggregates = &agg
 				view.Distribution = dist
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				view.State = StateCanceled
-			default:
-				view.State = StateFailed
 			}
 			s.updateCell(view)
 			return agg, err
 		},
 	})
 	wall := time.Since(start).Milliseconds()
-	switch {
-	case err == nil:
-		summary := res.Summary
-		s.Finish(StateDone, "", func() {
-			s.summary = &summary
-			s.wallMillis = wall
-		})
-		m.metrics.recordRunState(store.KindSweep, StateDone)
-		m.sweeps.Finished(key, s)
-		var data sweepData
-		s.Locked(func() {
-			data = sweepData{Cells: append([]SweepCell(nil), s.views...), Summary: s.summary}
-		})
-		m.core.Persist(store.KindSweep, key, s.ID, s.spec, data)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	state, errMsg := terminalState(err)
+	if state != StateDone {
 		s.cancelCells(0)
-		s.Finish(StateCanceled, "canceled", func() { s.wallMillis = wall })
-		m.metrics.recordRunState(store.KindSweep, StateCanceled)
-		m.sweeps.Finished(key, s)
-	default:
-		s.cancelCells(0)
-		s.Finish(StateFailed, err.Error(), func() { s.wallMillis = wall })
-		m.metrics.recordRunState(store.KindSweep, StateFailed)
-		m.sweeps.Finished(key, s)
 	}
+	summary := res.Summary
+	m.metrics.recordRunState(store.KindSweep, state)
+	m.sweeps.Complete(key, s, state, errMsg, func() {
+		s.wallMillis = wall
+		if state == StateDone {
+			s.summary = &summary
+		}
+	}, s.spec, sweepData{Cells: s.Cells(), Summary: &summary})
 }
 
 // sweepRunSpec converts a canonical wire spec back into the sweep
@@ -525,9 +511,11 @@ func (m *Manager) runSweepCell(ctx context.Context, plan sweepCellPlan, onUpdate
 	if err != nil {
 		return ensemble.Aggregates{}, "", nil, err
 	}
-	m.metrics.recordEngineRun(plan.expSpec.Engine, ensembleInteractions(agg), time.Since(start))
-	e := finishedExperiment(plan.id, plan.expSpec, plan.espec, agg, dist, time.Since(start).Milliseconds())
-	m.exps.Finished(plan.key, e)
-	m.core.Persist(store.KindExperiment, plan.key, plan.id, plan.expSpec, agg)
+	wall := time.Since(start)
+	m.metrics.recordEngineRun(plan.expSpec.Engine, ensembleInteractions(agg), wall)
+	e := &Experiment{Run: runcore.NewRun[ensemble.Aggregates](plan.id), spec: plan.expSpec, espec: plan.espec}
+	m.exps.Complete(plan.key, e, StateDone, "", func() {
+		e.agg, e.dist, e.wallMillis = &agg, dist, wall.Milliseconds()
+	}, plan.expSpec, agg)
 	return agg, "run", dist, nil
 }

@@ -15,8 +15,8 @@
 # Then the store-v2-specific legs: query the durable corpus through
 # GET /v1/results (filters, scaling fit, and the results CLI); kill the
 # server with SIGKILL in the middle of a write burst and assert every
-# record the store had acknowledged (made visible in /v1/results — the
-# store indexes a record only after its group commit is durable) is
+# job reported done, and every record made visible in /v1/results (the
+# store indexes a record only after its group commit is durable), is
 # still served after restart; and boot a server on a v1 JSONL store
 # file, asserting it is migrated to the segmented layout in place.
 #
@@ -245,34 +245,52 @@ echo "results CLI lists the corpus and renders the scaling fit" >&2
 
 # --- crash safety: SIGKILL mid-write-burst; every acknowledged record
 # survives. Burst jobs run at n=2022 so an n-range filter isolates them.
-# A record showing up in /v1/results is the durability acknowledgment:
-# the store indexes a record only after the fdatasync covering it
-# returns, so everything visible here must be served after the crash.
+# Two acknowledgments are checked: a job that GET /v1/jobs/{id} reports
+# done (done means durable and indexed), and a record showing up in
+# /v1/results (the store indexes a record only after the fdatasync
+# covering it returns). Everything seen either way before the kill must
+# be served done, and listed in /v1/results, after the crash.
 BURST=24
-for i in $(seq 1 "$BURST"); do
-  curl -fs -X POST -d "{\"protocol\":\"pll\",\"n\":2022,\"engine\":\"count\",\"seed\":$i}" \
-    "$BASE/v1/jobs" >/dev/null
-done
+# The burst is submitted in the background while the loop below polls,
+# so the kill lands mid-burst; one keep-alive curl polls every job
+# submitted so far.
+(
+  for i in $(seq 1 "$BURST"); do
+    curl -fs -X POST -d "{\"protocol\":\"pll\",\"n\":2022,\"engine\":\"count\",\"seed\":$i}" \
+      "$BASE/v1/jobs" > "$WORKDIR/burst-$i.json" || exit 0
+  done
+) &
+SUBMITTER_PID=$!
 ACKED=""
+DONE=""
 for _ in $(seq 1 200); do
+  BURST_URLS=$(cat "$WORKDIR"/burst-*.json 2>/dev/null |
+    jq -r --arg base "$BASE" '"\($base)/v1/jobs/\(.job.id)"' 2>/dev/null || true)
+  if [ -n "$BURST_URLS" ]; then
+    # shellcheck disable=SC2086
+    DONE=$(curl -fs $BURST_URLS | jq -r 'select(.state == "done") | .id')
+  fi
   ACKED=$(curl -fs "$BASE/v1/results?kind=job&n_min=2022&n_max=2022&limit=500" | jq -r '.results[].id')
-  [ "$(echo "$ACKED" | grep -c .)" -ge $((BURST / 2)) ] && break
-  sleep 0.05
+  [ "$(echo "$DONE" | grep -c .)" -ge $((BURST / 2)) ] && break
+  sleep 0.02
 done
+DONE_N=$(echo "$DONE" | grep -c .)
 ACKED_N=$(echo "$ACKED" | grep -c .)
+[ "$DONE_N" -ge 1 ] || { echo "no burst job was reported done before the kill" >&2; exit 1; }
 [ "$ACKED_N" -ge 1 ] || { echo "no burst records became visible before the kill" >&2; exit 1; }
 kill -9 "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true
-echo "SIGKILL with $ACKED_N/$BURST burst records acknowledged; restarting..." >&2
+wait "$SUBMITTER_PID" 2>/dev/null || true
+echo "SIGKILL with $DONE_N/$BURST burst jobs seen done and $ACKED_N records visible; restarting..." >&2
 start_server
 SURVIVED=$(curl -fs "$BASE/v1/results?kind=job&n_min=2022&n_max=2022&limit=500" | jq -r '.results[].id')
-for BID in $ACKED; do
+for BID in $DONE $ACKED; do
   echo "$SURVIVED" | grep -qx "$BID" ||
-    { echo "acknowledged record $BID lost after SIGKILL" >&2; exit 1; }
+    { echo "acknowledged job $BID not in /v1/results after SIGKILL" >&2; exit 1; }
   BSTATE=$(curl -fs "$BASE/v1/jobs/$BID" | jq -r '.state')
   [ "$BSTATE" = done ] || { echo "acknowledged job $BID in state $BSTATE after SIGKILL" >&2; exit 1; }
 done
-echo "all $ACKED_N acknowledged burst records served after SIGKILL + restart" >&2
+echo "all $DONE_N done and $ACKED_N visible burst jobs served after SIGKILL + restart" >&2
 
 # --- v1 migration: a JSONL store file is upgraded in place at boot ---
 # Build the v1 fixture out of the live corpus: a stored record fetched
